@@ -444,15 +444,8 @@ impl SimCache {
     /// that frequency. Packed traces take the tier's fastest replay path
     /// (see [`PackedTrace::run_grid`](gemstone_workloads::trace::PackedTrace::run_grid));
     /// direct generation streams every instruction. The two paths are
-    /// bit-identical for every tier.
-    ///
-    /// The timed replay is preceded by the *startup prologue*
-    /// ([`GridBackend::warm_prologue`]): one front-end-only warming pass
-    /// over the same instruction stream, so the branch predictor, ITLB and
-    /// L1I enter the measured region trained — as they do on real
-    /// hardware, where loader/libc startup and untimed harness warm-up
-    /// iterations run the workload's code paths first — while the data
-    /// working set stays cold and its compulsory misses are measured.
+    /// bit-identical for every tier. The engine starts cold and the stream
+    /// is decoded and simulated once.
     pub fn execute_grid_with(
         traces: &TraceCache,
         cfg: &CoreConfig,
@@ -462,14 +455,8 @@ impl SimCache {
     ) -> Vec<SimOutcome> {
         let mut backend = GridBackend::new(tier, cfg, freqs_hz, spec.threads, spec.derived_seed());
         let results = match traces.get(spec) {
-            Some(trace) => {
-                backend.warm_prologue(trace.iter());
-                trace.run_grid(&mut backend)
-            }
-            None => {
-                backend.warm_prologue(StreamGen::new(spec));
-                backend.run_stream(StreamGen::new(spec))
-            }
+            Some(trace) => trace.run_grid(&mut backend),
+            None => backend.run_stream(StreamGen::new(spec)),
         };
         results
             .into_iter()

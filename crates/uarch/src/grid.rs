@@ -316,9 +316,9 @@ impl GridEngine {
     /// warmed structures are all shared, so one pass serves every lane.
     #[inline]
     pub fn warm_state(&mut self, instr: &Instr) {
-        // The front-end half is the startup prologue's; an instruction is
-        // never both a memory op and a branch, so adding the data side
-        // after it keeps the detailed path's RNG draw order.
+        // An instruction is never both a memory op and a branch, so adding
+        // the data side after the front end keeps the detailed path's RNG
+        // draw order.
         self.warm_frontend(instr);
         let (true, Some(mem)) = (instr.class.is_memory(), instr.mem) else {
             return;
@@ -347,30 +347,14 @@ impl GridEngine {
         }
     }
 
-    /// Front-end-only functional warming — the *startup prologue*.
-    ///
-    /// A real measurement never observes a cold front end: the dynamic
-    /// loader, libc init and the harness's untimed warm-up iterations
-    /// execute the workload's code paths long before the timed region
-    /// begins, so the branch predictor, ITLB and L1I enter the region of
-    /// interest trained — while the ROI's *data* working set genuinely is
-    /// first-touched inside the measured window (its compulsory misses
-    /// are part of what the PMCs record). gem5 SE-mode runs show the same
-    /// asymmetry. Replaying a trace into a completely cold engine
-    /// compresses the per-workload error distribution at reduced stub
-    /// scales, so drivers run this pass over the trace before the timed
-    /// replay (see [`GridBackend::warm_prologue`]).
-    ///
-    /// Advances the periodic ITLB flush cadence, fetch-line and
-    /// fetch-group phase, ITLB and L1I (including their L2 fills and
-    /// prefetch triggers), the branch predictor, and the wrong-path
-    /// pollution of mispredicted branches (same RNG draws as a detailed
-    /// mispredict). Data-side state — DTLB, L1D, data-triggered L2
-    /// traffic — is left cold. Charges no cycles and records no events;
-    /// the warmed structures are all shared, so one pass serves every
-    /// lane.
+    /// Front-end half of [`GridEngine::warm_state`]: advances the periodic
+    /// ITLB flush cadence, fetch-line and fetch-group phase, ITLB and L1I
+    /// (including their L2 fills and prefetch triggers), the branch
+    /// predictor, and the wrong-path pollution of mispredicted branches
+    /// (same RNG draws as a detailed mispredict). Charges no cycles and
+    /// records no events.
     #[inline]
-    pub fn warm_frontend(&mut self, instr: &Instr) {
+    fn warm_frontend(&mut self, instr: &Instr) {
         // The periodic ITLB flush keeps its cadence across warmed
         // stretches; otherwise resumed windows would see an unrealistically
         // warm instruction TLB.
@@ -1009,15 +993,6 @@ impl SampledGridEngine {
         self.accs.len()
     }
 
-    /// Startup-prologue warming: advances the inner engine's front-end
-    /// state only (see [`GridEngine::warm_frontend`]), leaving the
-    /// sampling schedule position untouched — the prologue models pre-ROI
-    /// execution, the window schedule applies to the region of interest.
-    #[inline]
-    pub fn warm_frontend(&mut self, instr: &Instr) {
-        self.detailed.warm_frontend(instr);
-    }
-
     fn close_window(&mut self) {
         if self.window_instr > 0 {
             for acc in &mut self.accs {
@@ -1228,20 +1203,11 @@ impl GridBackend {
         }
     }
 
-    /// Runs the startup prologue over `stream`: front-end-only functional
-    /// warming of the shared structures (see [`GridEngine::warm_frontend`])
-    /// modelling the pre-ROI execution every real measurement performs
-    /// before its timed region. A no-op on the atomic tier, whose
-    /// class-histogram model carries no microarchitectural state — the
-    /// stream is not even decoded. Drivers call this once, before
-    /// [`GridBackend::run_stream`].
-    pub fn warm_prologue(&mut self, stream: impl Iterator<Item = Instr>) {
-        match self {
-            GridBackend::Atomic(_) => {}
-            GridBackend::Approx(b) => stream.for_each(|i| b.warm_frontend(&i)),
-            GridBackend::Sampled(b) => stream.for_each(|i| b.warm_frontend(&i)),
-        }
-    }
+    /// Does nothing: the stream is dropped without being decoded, and the
+    /// engine stays cold. Kept only for the repository benchmark
+    /// (`gsbench`), whose replay workload calls it before
+    /// [`GridBackend::run_stream`]; nothing in the workspace calls it.
+    pub fn warm_prologue(&mut self, _stream: impl Iterator<Item = Instr>) {}
 
     /// Runs the engine over an instruction stream with the per-tier obs
     /// span (carrying a `lanes` attribute) and `engine.*` accounting;

@@ -13,7 +13,7 @@
 //!
 //! A second table pins every tier (atomic included) on the in-order A7,
 //! the A15 and the old `ex5_big` model (stale-history gshare, split L2
-//! TLB), at one and four threads, with and without the startup prologue.
+//! TLB), at one and four threads, every run starting from a cold engine.
 //! Besides the time bits it records an FNV-1a digest of each result's
 //! gem5 statistics map, so event counters are pinned as well as time.
 //!
@@ -180,13 +180,11 @@ fn stats_digest(r: &SimResult) -> u64 {
     h
 }
 
-/// One single-frequency run, optionally preceded by the startup prologue.
-fn matrix_run(tier: TierConfig, cfg: &CoreConfig, f: f64, threads: u32, warm: bool) -> SimResult {
-    let mut b = GridBackend::new(tier, cfg, &[f], threads, SEED);
-    if warm {
-        b.warm_prologue(stream_of(MATRIX_LEN));
-    }
-    b.run_stream(stream_of(MATRIX_LEN)).remove(0)
+/// One single-frequency run on a cold engine.
+fn matrix_run(tier: TierConfig, cfg: &CoreConfig, f: f64, threads: u32) -> SimResult {
+    GridBackend::new(tier, cfg, &[f], threads, SEED)
+        .run_stream(stream_of(MATRIX_LEN))
+        .remove(0)
 }
 
 /// `(run, cycles bits, seconds bits, gem5 stats digest)`.
@@ -196,21 +194,18 @@ fn matrix() -> Vec<Row> {
     let mut rows = Vec::new();
     for (name, cfg) in configs() {
         for threads in [1, 4] {
-            for warm in [false, true] {
-                for tier in [TierConfig::atomic(), TierConfig::approx(), sampled()] {
-                    for f in MATRIX_FREQS {
-                        let r = matrix_run(tier, &cfg, f, threads, warm);
-                        assert_eq!(r.stats.committed_instructions, MATRIX_LEN as u64);
-                        let w = if warm { "warm" } else { "cold" };
-                        let t = tier.fidelity.name();
-                        let ghz = f / 1e9;
-                        rows.push((
-                            format!("{name}/t{threads}/{w}/{t}@{ghz}"),
-                            r.cycles.to_bits(),
-                            r.seconds.to_bits(),
-                            stats_digest(&r),
-                        ));
-                    }
+            for tier in [TierConfig::atomic(), TierConfig::approx(), sampled()] {
+                for f in MATRIX_FREQS {
+                    let r = matrix_run(tier, &cfg, f, threads);
+                    assert_eq!(r.stats.committed_instructions, MATRIX_LEN as u64);
+                    let t = tier.fidelity.name();
+                    let ghz = f / 1e9;
+                    rows.push((
+                        format!("{name}/t{threads}/cold/{t}@{ghz}"),
+                        r.cycles.to_bits(),
+                        r.seconds.to_bits(),
+                        stats_digest(&r),
+                    ));
                 }
             }
         }
@@ -258,42 +253,6 @@ const MATRIX: &[(&str, u64, u64, u64)] = &[
         0x553f4ec2ec6b8441,
     ),
     (
-        "a15/t1/warm/atomic@0.6",
-        0x40f84c6808080808,
-        0x3f25bdece7425973,
-        0x8368bec09a4022cd,
-    ),
-    (
-        "a15/t1/warm/atomic@1.8",
-        0x40f84c6808080808,
-        0x3f0cfd3bdf0321ef,
-        0xa534b8362e5701e6,
-    ),
-    (
-        "a15/t1/warm/approx@0.6",
-        0x412abdf70101136f,
-        0x3f57edaa68d90a80,
-        0xe09d4988c8f19adb,
-    ),
-    (
-        "a15/t1/warm/approx@1.8",
-        0x4134c5b780807bc6,
-        0x3f48c8488440b351,
-        0x6e5550d855eae4c0,
-    ),
-    (
-        "a15/t1/warm/sampled@0.6",
-        0x412a92de4e393022,
-        0x3f57c71a84a727a3,
-        0x603dda5cebbc0185,
-    ),
-    (
-        "a15/t1/warm/sampled@1.8",
-        0x4134a3d4b2ab1959,
-        0x3f489fdb1280288f,
-        0x3c8b6d1734ecaaa4,
-    ),
-    (
         "a15/t4/cold/atomic@0.6",
         0x40f85b6808080808,
         0x3f25cb58e08fb7cb,
@@ -328,42 +287,6 @@ const MATRIX: &[(&str, u64, u64, u64)] = &[
         0x4137124284ddc65f,
         0x3f4b867145057a08,
         0xa260f43417fa796b,
-    ),
-    (
-        "a15/t4/warm/atomic@0.6",
-        0x40f85b6808080808,
-        0x3f25cb58e08fb7cb,
-        0x3d023cbdd7f56688,
-    ),
-    (
-        "a15/t4/warm/atomic@1.8",
-        0x40f85b6808080808,
-        0x3f0d0f212b6a4a64,
-        0x91b985a0d0b92cc5,
-    ),
-    (
-        "a15/t4/warm/approx@0.6",
-        0x412adbbc9a9aad03,
-        0x3f58084e1a0f8fb4,
-        0x0ea076835d969a25,
-    ),
-    (
-        "a15/t4/warm/approx@1.8",
-        0x4134d1764d4d4846,
-        0x3f48d64bc4cc3f4e,
-        0xe448d8f9371306a5,
-    ),
-    (
-        "a15/t4/warm/sampled@0.6",
-        0x412ab8fcfeed420a,
-        0x3f57e93672471c19,
-        0x582ee9b176e14d58,
-    ),
-    (
-        "a15/t4/warm/sampled@1.8",
-        0x4134b89b24e9a199,
-        0x3f48b8a439cf3a1a,
-        0xc1cacc9233c9e29b,
     ),
     (
         "a7/t1/cold/atomic@0.6",
@@ -402,42 +325,6 @@ const MATRIX: &[(&str, u64, u64, u64)] = &[
         0x71e66dd5f9852fcf,
     ),
     (
-        "a7/t1/warm/atomic@0.6",
-        0x4109553eeeeeeef0,
-        0x3f36aae6557aafd8,
-        0x461119911a08ce6c,
-    ),
-    (
-        "a7/t1/warm/atomic@1.8",
-        0x4109553eeeeeeef0,
-        0x3f1e39331ca39520,
-        0x42646f06e5e3e67c,
-    ),
-    (
-        "a7/t1/warm/approx@0.6",
-        0x413cbebbddddc099,
-        0x3f69b87bccb66065,
-        0xd94f10755f5acc78,
-    ),
-    (
-        "a7/t1/warm/approx@1.8",
-        0x414a2a2522223ba8,
-        0x3f5f3732c4ed9cc7,
-        0x35780442bb0de4c6,
-    ),
-    (
-        "a7/t1/warm/sampled@0.6",
-        0x413ccc00c2d2c91e,
-        0x3f69c45b4a0e7427,
-        0xc421710055f15218,
-    ),
-    (
-        "a7/t1/warm/sampled@1.8",
-        0x414a409a1f595709,
-        0x3f5f51fd949767f6,
-        0xccbc635e3e74fa1d,
-    ),
-    (
         "a7/t4/cold/atomic@0.6",
         0x410959beeeeeeef0,
         0x3f36aeed204518f2,
@@ -472,42 +359,6 @@ const MATRIX: &[(&str, u64, u64, u64)] = &[
         0x414b73d51eecbb04,
         0x3f606043f02fc20d,
         0xfcad04835134ed27,
-    ),
-    (
-        "a7/t4/warm/atomic@0.6",
-        0x410959beeeeeeef0,
-        0x3f36aeed204518f2,
-        0x7a56057f7deb5cf5,
-    ),
-    (
-        "a7/t4/warm/atomic@1.8",
-        0x410959beeeeeeef0,
-        0x3f1e3e91805c2143,
-        0x971152bcd02073ce,
-    ),
-    (
-        "a7/t4/warm/approx@0.6",
-        0x413cdcfb444426bd,
-        0x3f69d38c7a086e19,
-        0x08addf581a652627,
-    ),
-    (
-        "a7/t4/warm/approx@1.8",
-        0x414a2fd53bbbd57e,
-        0x3f5f3dfbf6d6f191,
-        0x6a27f1591e74f038,
-    ),
-    (
-        "a7/t4/warm/sampled@0.6",
-        0x413cbdbc3ce61846,
-        0x3f69b79711204042,
-        0xc13e4502a1c0e77a,
-    ),
-    (
-        "a7/t4/warm/sampled@1.8",
-        0x4149efb683019201,
-        0x3f5ef17c7044a5e1,
-        0x85bf865e1efbc5ab,
     ),
     (
         "ex5old/t1/cold/atomic@0.6",
@@ -546,42 +397,6 @@ const MATRIX: &[(&str, u64, u64, u64)] = &[
         0x587930d468d4cb37,
     ),
     (
-        "ex5old/t1/warm/atomic@0.6",
-        0x40f16d1f38569e31,
-        0x3f1f2f7d1bceba56,
-        0x4792c5c08535156a,
-    ),
-    (
-        "ex5old/t1/warm/atomic@1.8",
-        0x40f16d1f38569e31,
-        0x3f04ca5367df26e4,
-        0x8e1d3b8cc6211b7d,
-    ),
-    (
-        "ex5old/t1/warm/approx@0.6",
-        0x41330b32f3856a60,
-        0x3f610a41165deeac,
-        0xf24738e2d6e1b1d8,
-    ),
-    (
-        "ex5old/t1/warm/approx@1.8",
-        0x413777c3c052288e,
-        0x3f4bff8adbf77f6d,
-        0x7ef54a661bd56505,
-    ),
-    (
-        "ex5old/t1/warm/sampled@0.6",
-        0x413300c19a446ee5,
-        0x3f6100e903f75a6e,
-        0x81007366bfa5a935,
-    ),
-    (
-        "ex5old/t1/warm/sampled@1.8",
-        0x413771ddb597f14d,
-        0x3f4bf8814f1fe73a,
-        0x5f5c4238f0fafdd4,
-    ),
-    (
         "ex5old/t4/cold/atomic@0.6",
         0x40f16e3f38569e31,
         0x3f1f31808133eee3,
@@ -617,46 +432,10 @@ const MATRIX: &[(&str, u64, u64, u64)] = &[
         0x3f4cd4785d32bb8e,
         0x7f41fbcdc1118a13,
     ),
-    (
-        "ex5old/t4/warm/atomic@0.6",
-        0x40f16e3f38569e31,
-        0x3f1f31808133eee3,
-        0x612f24fecdf16f36,
-    ),
-    (
-        "ex5old/t4/warm/atomic@1.8",
-        0x40f16e3f38569e31,
-        0x3f04cbab00cd49ed,
-        0x24ed4cbadf102196,
-    ),
-    (
-        "ex5old/t4/warm/approx@0.6",
-        0x41330908f3856a79,
-        0x3f61085160665ee2,
-        0x5c730ded75ad4c29,
-    ),
-    (
-        "ex5old/t4/warm/approx@1.8",
-        0x413773b759ebc239,
-        0x3f4bfab662c933ec,
-        0x27e0e7ca39a214eb,
-    ),
-    (
-        "ex5old/t4/warm/sampled@0.6",
-        0x4132e6af43e675c0,
-        0x3f60e994eb64d0e5,
-        0x71cbaf88a0c2cb01,
-    ),
-    (
-        "ex5old/t4/warm/sampled@1.8",
-        0x413752a6118c7972,
-        0x3f4bd342e9048dd2,
-        0xa05e2afbc40700e6,
-    ),
 ];
 
 #[test]
-fn every_tier_config_and_prologue_matches_the_golden_bits() {
+fn every_tier_and_config_matches_the_golden_bits() {
     let rows = matrix();
     let table: Vec<String> = rows
         .iter()
